@@ -23,6 +23,13 @@ cargo test -q -p adassure-core --test proptests lane_batched
 echo "== columnar pipeline differential (CSV -> .adt -> lane check) =="
 cargo test -q -p adassure-exp --test columnar_differential
 
+echo "== projection differential (pruned Track::project vs linear scan, bit-identical) =="
+cargo test -q -p adassure-sim --test proptests projection_matches_linear_scan
+cargo test -q -p adassure-exp --test projection_differential
+
+echo "== campaign golden pin (RunRecord bytes and trace digests of a fixed slice) =="
+cargo test -q -p adassure-exp --test golden_slice
+
 echo "== trace-import smoke (CSV corpus -> .adt, verified round trip) =="
 rm -rf target/ci_adt && mkdir -p target/ci_adt
 cargo run --release -q -p adassure-trace --bin trace-import -- \

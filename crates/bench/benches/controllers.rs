@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the four lateral controllers' per-cycle
 //! cost (the denominator of the F3 overhead comparison: the monitor should
-//! be cheap *relative to the controllers it watches*).
+//! be cheap *relative to the controllers it watches*). Each step includes
+//! the projection of the estimate that the stack computes for it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -27,22 +28,34 @@ fn bench_controllers(c: &mut Criterion) {
 
     let mut pp = PurePursuit::new(PurePursuitConfig::standard());
     c.bench_function("controller/pure_pursuit_step", |b| {
-        b.iter(|| pp.steer(std::hint::black_box(&est), &track, 0.01))
+        b.iter(|| {
+            let est = std::hint::black_box(&est);
+            pp.steer(est, &track.project(est.position), &track, 0.01)
+        })
     });
 
     let mut stanley = Stanley::new(StanleyConfig::standard());
     c.bench_function("controller/stanley_step", |b| {
-        b.iter(|| stanley.steer(std::hint::black_box(&est), &track, 0.01))
+        b.iter(|| {
+            let est = std::hint::black_box(&est);
+            stanley.steer(est, &track.project(est.position), &track, 0.01)
+        })
     });
 
     let mut lqr = Lqr::new(LqrConfig::standard());
     c.bench_function("controller/lqr_step", |b| {
-        b.iter(|| lqr.steer(std::hint::black_box(&est), &track, 0.01))
+        b.iter(|| {
+            let est = std::hint::black_box(&est);
+            lqr.steer(est, &track.project(est.position), &track, 0.01)
+        })
     });
 
     let mut mpc = Mpc::new(MpcConfig::standard());
     c.bench_function("controller/mpc_step_amortised", |b| {
-        b.iter(|| mpc.steer(std::hint::black_box(&est), &track, 0.01))
+        b.iter(|| {
+            let est = std::hint::black_box(&est);
+            mpc.steer(est, &track.project(est.position), &track, 0.01)
+        })
     });
 }
 

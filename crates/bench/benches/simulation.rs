@@ -32,6 +32,17 @@ fn bench_track_projection(c: &mut Criterion) {
     c.bench_function("track/project_onto_circle", |b| {
         b.iter(|| std::hint::black_box(&track).project(std::hint::black_box(point)))
     });
+
+    // The straight scenario's 400 one-metre segments: a point on the road,
+    // and one 200 m off its middle, where every box is nearly as far as
+    // the best segment and pruning helps least.
+    let straight = Track::line([0.0, 0.0], [400.0, 0.0], 1.0).expect("track");
+    c.bench_function("track/project_straight_400m", |b| {
+        b.iter(|| std::hint::black_box(&straight).project(std::hint::black_box([250.3, 0.4])))
+    });
+    c.bench_function("track/project_far_point", |b| {
+        b.iter(|| std::hint::black_box(&straight).project(std::hint::black_box([200.0, 200.0])))
+    });
 }
 
 fn bench_closed_loop_second(c: &mut Criterion) {

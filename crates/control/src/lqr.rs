@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use adassure_sim::geometry::wrap_angle;
-use adassure_sim::track::Track;
+use adassure_sim::track::{Projection, Track};
 
 use crate::{Estimate, LateralController};
 
@@ -182,9 +182,8 @@ impl Default for Lqr {
 }
 
 impl LateralController for Lqr {
-    fn steer(&mut self, est: &Estimate, track: &Track, _dt: f64) -> f64 {
+    fn steer(&mut self, est: &Estimate, proj: &Projection, track: &Track, _dt: f64) -> f64 {
         self.refresh_gains(est.speed);
-        let proj = track.project(est.position);
         let heading_err = wrap_angle(est.heading - proj.heading);
         let feedforward = (self.config.wheelbase * track.curvature_at(proj.station)).atan();
         let feedback = -(self.gains[0] * proj.cross_track + self.gains[1] * heading_err);
@@ -213,6 +212,7 @@ fn transpose(a: [[f64; 2]; 2]) -> [[f64; 2]; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::steer_on;
     use adassure_sim::geometry::Vec2;
 
     fn straight() -> Track {
@@ -247,15 +247,15 @@ mod tests {
     #[test]
     fn sign_conventions_match_other_controllers() {
         let mut lqr = Lqr::default();
-        assert!(lqr.steer(&estimate(5.0, 2.0, 0.0, 8.0), &straight(), 0.01) < 0.0);
-        assert!(lqr.steer(&estimate(5.0, -2.0, 0.0, 8.0), &straight(), 0.01) > 0.0);
-        assert!(lqr.steer(&estimate(5.0, 0.0, 0.3, 8.0), &straight(), 0.01) < 0.0);
+        assert!(steer_on(&mut lqr, &estimate(5.0, 2.0, 0.0, 8.0), &straight()) < 0.0);
+        assert!(steer_on(&mut lqr, &estimate(5.0, -2.0, 0.0, 8.0), &straight()) > 0.0);
+        assert!(steer_on(&mut lqr, &estimate(5.0, 0.0, 0.3, 8.0), &straight()) < 0.0);
     }
 
     #[test]
     fn neutral_on_path() {
         let mut lqr = Lqr::default();
-        let steer = lqr.steer(&estimate(5.0, 0.0, 0.0, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut lqr, &estimate(5.0, 0.0, 0.0, 8.0), &straight());
         assert!(steer.abs() < 1e-6, "{steer}");
     }
 
@@ -265,7 +265,7 @@ mod tests {
         let mut lqr = Lqr::default();
         let p = track.point_at(5.0);
         let h = track.heading_at(5.0);
-        let steer = lqr.steer(&estimate(p.x, p.y, h, 6.0), &track, 0.01);
+        let steer = steer_on(&mut lqr, &estimate(p.x, p.y, h, 6.0), &track);
         let expected = (2.7f64 / 20.0).atan();
         assert!((steer - expected).abs() < 0.08, "{steer} vs {expected}");
     }
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn output_is_clamped() {
         let mut lqr = Lqr::default();
-        let steer = lqr.steer(&estimate(5.0, 30.0, 1.5, 5.0), &straight(), 0.01);
+        let steer = steer_on(&mut lqr, &estimate(5.0, 30.0, 1.5, 5.0), &straight());
         assert!(steer.abs() <= 0.55 + 1e-12);
     }
 }

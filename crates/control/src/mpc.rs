@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use adassure_sim::geometry::{wrap_angle, Vec2};
-use adassure_sim::track::Track;
+use adassure_sim::track::{Projection, Track};
 
 use crate::{Estimate, LateralController};
 
@@ -204,7 +204,7 @@ impl Default for Mpc {
 }
 
 impl LateralController for Mpc {
-    fn steer(&mut self, est: &Estimate, track: &Track, _dt: f64) -> f64 {
+    fn steer(&mut self, est: &Estimate, _proj: &Projection, track: &Track, _dt: f64) -> f64 {
         self.cycles_since_plan += 1;
         if self.cycles_since_plan >= self.config.recompute_every {
             self.replan(est, track);
@@ -224,6 +224,7 @@ impl LateralController for Mpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::steer_on;
 
     fn straight() -> Track {
         Track::line([0.0, 0.0], [300.0, 0.0], 1.0).unwrap()
@@ -241,17 +242,17 @@ mod tests {
     #[test]
     fn neutral_on_path() {
         let mut mpc = Mpc::default();
-        let steer = mpc.steer(&estimate(5.0, 0.0, 0.0, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut mpc, &estimate(5.0, 0.0, 0.0, 8.0), &straight());
         assert!(steer.abs() < 0.02, "{steer}");
     }
 
     #[test]
     fn sign_conventions() {
         let mut mpc = Mpc::default();
-        let left = mpc.steer(&estimate(5.0, 2.0, 0.0, 8.0), &straight(), 0.01);
+        let left = steer_on(&mut mpc, &estimate(5.0, 2.0, 0.0, 8.0), &straight());
         assert!(left < -0.01, "left offset must steer right: {left}");
         let mut mpc = Mpc::default();
-        let right = mpc.steer(&estimate(5.0, -2.0, 0.0, 8.0), &straight(), 0.01);
+        let right = steer_on(&mut mpc, &estimate(5.0, -2.0, 0.0, 8.0), &straight());
         assert!(right > 0.01, "right offset must steer left: {right}");
     }
 
@@ -259,23 +260,23 @@ mod tests {
     fn plan_is_held_between_recomputes() {
         let mut mpc = Mpc::default();
         let e = estimate(5.0, 1.0, 0.0, 8.0);
-        let first = mpc.steer(&e, &straight(), 0.01);
+        let first = steer_on(&mut mpc, &e, &straight());
         for _ in 0..(mpc.config.recompute_every - 1) {
-            assert_eq!(mpc.steer(&e, &straight(), 0.01), first);
+            assert_eq!(steer_on(&mut mpc, &e, &straight()), first);
         }
     }
 
     #[test]
     fn plan_respects_steering_bound() {
         let mut mpc = Mpc::default();
-        mpc.steer(&estimate(5.0, 20.0, 1.0, 10.0), &straight(), 0.01);
+        steer_on(&mut mpc, &estimate(5.0, 20.0, 1.0, 10.0), &straight());
         assert!(mpc.plan().iter().all(|s| s.abs() <= 0.55 + 1e-12));
     }
 
     #[test]
     fn reset_clears_plan() {
         let mut mpc = Mpc::default();
-        mpc.steer(&estimate(5.0, 5.0, 0.0, 8.0), &straight(), 0.01);
+        steer_on(&mut mpc, &estimate(5.0, 5.0, 0.0, 8.0), &straight());
         mpc.reset();
         assert!(mpc.plan().iter().all(|&s| s == 0.0));
     }
@@ -286,7 +287,7 @@ mod tests {
         let e = estimate(5.0, 2.0, 0.0, 8.0);
         let zero_cost = mpc.cost(&[0.0; 8], &e, &straight());
         let mut opt = Mpc::default();
-        opt.steer(&e, &straight(), 0.01);
+        steer_on(&mut opt, &e, &straight());
         let opt_cost = opt.cost(opt.plan(), &e, &straight());
         assert!(
             opt_cost < zero_cost,
@@ -319,7 +320,7 @@ mod tests {
         )
         .unwrap();
         let mut mpc = Mpc::default();
-        mpc.steer(&estimate(15.0, 0.0, 0.0, 8.0), &track, 0.01);
+        steer_on(&mut mpc, &estimate(15.0, 0.0, 0.0, 8.0), &track);
         let max_late = mpc.plan()[3..].iter().copied().fold(f64::MIN, f64::max);
         assert!(
             max_late > 0.02,

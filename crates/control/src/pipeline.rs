@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use adassure_sim::engine::{DriveCtx, Driver};
 use adassure_sim::geometry::wrap_angle;
-use adassure_sim::track::Track;
+use adassure_sim::track::{Projection, Track};
 use adassure_sim::vehicle::Controls;
 use adassure_trace::{well_known as sig, Trace};
 
@@ -169,12 +169,12 @@ impl Lateral {
 }
 
 impl LateralController for Lateral {
-    fn steer(&mut self, est: &Estimate, track: &Track, dt: f64) -> f64 {
+    fn steer(&mut self, est: &Estimate, proj: &Projection, track: &Track, dt: f64) -> f64 {
         match self {
-            Lateral::PurePursuit(c) => c.steer(est, track, dt),
-            Lateral::Stanley(c) => c.steer(est, track, dt),
-            Lateral::Lqr(c) => c.steer(est, track, dt),
-            Lateral::Mpc(c) => c.steer(est, track, dt),
+            Lateral::PurePursuit(c) => c.steer(est, proj, track, dt),
+            Lateral::Stanley(c) => c.steer(est, proj, track, dt),
+            Lateral::Lqr(c) => c.steer(est, proj, track, dt),
+            Lateral::Mpc(c) => c.steer(est, proj, track, dt),
         }
     }
 
@@ -376,7 +376,7 @@ impl Driver for AdStack {
         let target_speed = self.target_speed(proj.station);
 
         let steer = if self.estimator.is_initialized() {
-            self.lateral.steer(&est, &self.track, ctx.dt)
+            self.lateral.steer(&est, &proj, &self.track, ctx.dt)
         } else {
             0.0
         };

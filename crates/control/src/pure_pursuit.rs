@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use adassure_sim::geometry::wrap_angle;
-use adassure_sim::track::Track;
+use adassure_sim::track::{Projection, Track};
 
 use crate::{Estimate, LateralController};
 
@@ -70,9 +70,8 @@ impl Default for PurePursuit {
 }
 
 impl LateralController for PurePursuit {
-    fn steer(&mut self, est: &Estimate, track: &Track, _dt: f64) -> f64 {
+    fn steer(&mut self, est: &Estimate, proj: &Projection, track: &Track, _dt: f64) -> f64 {
         let lookahead = self.lookahead(est.speed);
-        let proj = track.project(est.position);
         let target = track.point_at(proj.station + lookahead);
         let to_target = target - est.position;
         let alpha = wrap_angle(to_target.angle() - est.heading);
@@ -84,6 +83,7 @@ impl LateralController for PurePursuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::steer_on;
     use adassure_sim::geometry::Vec2;
 
     fn straight() -> Track {
@@ -102,21 +102,21 @@ mod tests {
     #[test]
     fn on_path_aligned_steers_straight() {
         let mut pp = PurePursuit::default();
-        let steer = pp.steer(&estimate(10.0, 0.0, 0.0, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut pp, &estimate(10.0, 0.0, 0.0, 8.0), &straight());
         assert!(steer.abs() < 1e-6, "{steer}");
     }
 
     #[test]
     fn offset_left_steers_right() {
         let mut pp = PurePursuit::default();
-        let steer = pp.steer(&estimate(10.0, 2.0, 0.0, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut pp, &estimate(10.0, 2.0, 0.0, 8.0), &straight());
         assert!(steer < -0.01, "left of path must steer right, got {steer}");
     }
 
     #[test]
     fn offset_right_steers_left() {
         let mut pp = PurePursuit::default();
-        let steer = pp.steer(&estimate(10.0, -2.0, 0.0, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut pp, &estimate(10.0, -2.0, 0.0, 8.0), &straight());
         assert!(steer > 0.01, "right of path must steer left, got {steer}");
     }
 
@@ -132,7 +132,7 @@ mod tests {
     fn heading_error_alone_produces_correction() {
         let mut pp = PurePursuit::default();
         // On the path but pointing 30° left: must steer right.
-        let steer = pp.steer(&estimate(10.0, 0.0, 0.5, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut pp, &estimate(10.0, 0.0, 0.5, 8.0), &straight());
         assert!(steer < -0.05, "{steer}");
     }
 
@@ -143,7 +143,7 @@ mod tests {
         // Place the vehicle on the circle, tangent heading.
         let p = track.point_at(0.0);
         let h = track.heading_at(0.0);
-        let steer = pp.steer(&estimate(p.x, p.y, h, 6.0), &track, 0.01);
+        let steer = steer_on(&mut pp, &estimate(p.x, p.y, h, 6.0), &track);
         // Expected kinematic steer for r=20, L=2.7 ≈ atan(L/r) ≈ 0.134.
         assert!(steer > 0.05 && steer < 0.25, "{steer}");
     }

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use adassure_sim::geometry::{wrap_angle, Vec2};
-use adassure_sim::track::Track;
+use adassure_sim::track::{Projection, Track};
 
 use crate::{Estimate, LateralController};
 
@@ -63,7 +63,8 @@ impl Default for Stanley {
 }
 
 impl LateralController for Stanley {
-    fn steer(&mut self, est: &Estimate, track: &Track, _dt: f64) -> f64 {
+    fn steer(&mut self, est: &Estimate, _proj: &Projection, track: &Track, _dt: f64) -> f64 {
+        // Stanley tracks the front axle, so it projects that point itself.
         let front_axle =
             est.position + Vec2::from_angle(est.heading) * self.config.front_axle_offset;
         let proj = track.project(front_axle);
@@ -78,6 +79,7 @@ impl LateralController for Stanley {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::steer_on;
 
     fn straight() -> Track {
         Track::line([0.0, 0.0], [200.0, 0.0], 1.0).unwrap()
@@ -95,15 +97,15 @@ mod tests {
     #[test]
     fn aligned_on_path_is_neutral() {
         let mut st = Stanley::default();
-        let steer = st.steer(&estimate(5.0, 0.0, 0.0, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut st, &estimate(5.0, 0.0, 0.0, 8.0), &straight());
         assert!(steer.abs() < 1e-9);
     }
 
     #[test]
     fn cross_track_sign_convention() {
         let mut st = Stanley::default();
-        assert!(st.steer(&estimate(5.0, 1.5, 0.0, 8.0), &straight(), 0.01) < -0.01);
-        assert!(st.steer(&estimate(5.0, -1.5, 0.0, 8.0), &straight(), 0.01) > 0.01);
+        assert!(steer_on(&mut st, &estimate(5.0, 1.5, 0.0, 8.0), &straight()) < -0.01);
+        assert!(steer_on(&mut st, &estimate(5.0, -1.5, 0.0, 8.0), &straight()) > 0.01);
     }
 
     #[test]
@@ -112,24 +114,24 @@ mod tests {
         // Pointing 0.2 rad left of the path tangent, on the path... but note
         // the front axle is then *off* the path, so expect roughly
         // -0.2 plus a small cross-track term.
-        let steer = st.steer(&estimate(5.0, 0.0, 0.2, 8.0), &straight(), 0.01);
+        let steer = steer_on(&mut st, &estimate(5.0, 0.0, 0.2, 8.0), &straight());
         assert!(steer < -0.15 && steer > -0.4, "{steer}");
     }
 
     #[test]
     fn output_is_clamped() {
         let mut st = Stanley::default();
-        let steer = st.steer(&estimate(5.0, 50.0, 0.0, 0.0), &straight(), 0.01);
+        let steer = steer_on(&mut st, &estimate(5.0, 50.0, 0.0, 0.0), &straight());
         assert!(steer >= -0.55 - 1e-12);
-        let steer = st.steer(&estimate(5.0, -50.0, 0.0, 0.0), &straight(), 0.01);
+        let steer = steer_on(&mut st, &estimate(5.0, -50.0, 0.0, 0.0), &straight());
         assert!(steer <= 0.55 + 1e-12);
     }
 
     #[test]
     fn low_speed_gain_is_stronger() {
         let mut st = Stanley::default();
-        let slow = st.steer(&estimate(5.0, 1.0, 0.0, 1.0), &straight(), 0.01);
-        let fast = st.steer(&estimate(5.0, 1.0, 0.0, 20.0), &straight(), 0.01);
+        let slow = steer_on(&mut st, &estimate(5.0, 1.0, 0.0, 1.0), &straight());
+        let fast = steer_on(&mut st, &estimate(5.0, 1.0, 0.0, 20.0), &straight());
         assert!(slow.abs() > fast.abs(), "slow {slow} vs fast {fast}");
     }
 }

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 use adassure_sim::geometry::Vec2;
-use adassure_sim::track::Track;
+use adassure_sim::track::{Projection, Track};
 
 /// The estimator's belief about the vehicle state, handed to lateral
 /// controllers every cycle.
@@ -35,11 +35,23 @@ impl Estimate {
 /// the estimate derived from (possibly attacked) sensors, which is what
 /// makes the ADAssure debugging problem real.
 pub trait LateralController {
-    /// Computes the steering command (rad) for the current cycle.
-    fn steer(&mut self, est: &Estimate, track: &Track, dt: f64) -> f64;
+    /// Computes the steering command (rad) for the current cycle. `proj`
+    /// is `track.project(est.position)`, computed once per cycle by the
+    /// caller and shared.
+    fn steer(&mut self, est: &Estimate, proj: &Projection, track: &Track, dt: f64) -> f64;
 
     /// Resets any internal state (integrators, warm starts).
     fn reset(&mut self) {}
+}
+
+/// Steers `c` as the stack does: from the estimate's own projection.
+#[cfg(test)]
+pub(crate) fn steer_on(
+    c: &mut (impl LateralController + ?Sized),
+    est: &Estimate,
+    track: &Track,
+) -> f64 {
+    c.steer(est, &track.project(est.position), track, 0.01)
 }
 
 /// Which lateral controller a stack uses. Used by campaign sweeps to

@@ -9,6 +9,11 @@ use adassure_sim::geometry::Vec2;
 use adassure_sim::track::Track;
 use proptest::prelude::*;
 
+/// Steers `c` as the stack does: from the estimate's own projection.
+fn steer_on(c: &mut (impl LateralController + ?Sized), est: &Estimate, track: &Track) -> f64 {
+    c.steer(est, &track.project(est.position), track, 0.01)
+}
+
 fn arbitrary_estimate() -> impl Strategy<Value = Estimate> {
     (-50.0f64..350.0, -30.0f64..30.0, -3.2f64..3.2, 0.0f64..25.0).prop_map(
         |(x, y, heading, speed)| Estimate {
@@ -25,7 +30,7 @@ proptest! {
     fn stanley_output_is_always_clamped(est in arbitrary_estimate()) {
         let track = Track::line([0.0, 0.0], [300.0, 0.0], 1.0).unwrap();
         let mut c = Stanley::default();
-        let steer = c.steer(&est, &track, 0.01);
+        let steer = steer_on(&mut c, &est, &track);
         prop_assert!(steer.is_finite());
         prop_assert!(steer.abs() <= 0.55 + 1e-12);
     }
@@ -34,7 +39,7 @@ proptest! {
     fn lqr_output_is_always_clamped(est in arbitrary_estimate()) {
         let track = Track::line([0.0, 0.0], [300.0, 0.0], 1.0).unwrap();
         let mut c = Lqr::default();
-        let steer = c.steer(&est, &track, 0.01);
+        let steer = steer_on(&mut c, &est, &track);
         prop_assert!(steer.is_finite());
         prop_assert!(steer.abs() <= 0.55 + 1e-12);
     }
@@ -43,7 +48,7 @@ proptest! {
     fn pure_pursuit_output_is_finite_and_geometric(est in arbitrary_estimate()) {
         let track = Track::line([0.0, 0.0], [300.0, 0.0], 1.0).unwrap();
         let mut c = PurePursuit::default();
-        let steer = c.steer(&est, &track, 0.01);
+        let steer = steer_on(&mut c, &est, &track);
         prop_assert!(steer.is_finite());
         // atan is bounded by ±π/2 whatever the geometry.
         prop_assert!(steer.abs() <= std::f64::consts::FRAC_PI_2 + 1e-12);
@@ -99,8 +104,8 @@ proptest! {
         let mut lqr = Lqr::default();
         let mut pp = PurePursuit::default();
         for c in [&mut stanley as &mut dyn LateralController, &mut lqr, &mut pp] {
-            prop_assert!(c.steer(&make(offset), &track, 0.01) < 0.0);
-            prop_assert!(c.steer(&make(-offset), &track, 0.01) > 0.0);
+            prop_assert!(steer_on(c, &make(offset), &track) < 0.0);
+            prop_assert!(steer_on(c, &make(-offset), &track) > 0.0);
         }
     }
 }

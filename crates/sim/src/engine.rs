@@ -519,7 +519,10 @@ impl SimSession {
     }
 
     /// Closes the session into the run result.
-    pub fn finish(self) -> SimOutput {
+    pub fn finish(mut self) -> SimOutput {
+        // Campaigns hold every finished trace at once: drop the slack the
+        // series grew while recording.
+        self.trace.shrink_to_fit();
         SimOutput {
             trace: self.trace,
             final_state: self.state,

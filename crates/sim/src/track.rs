@@ -29,13 +29,15 @@ pub struct Projection {
 }
 
 /// An arc-length-parameterised path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Track {
     points: Vec<Vec2>,
     stations: Vec<f64>,
     headings: Vec<f64>,
     curvatures: Vec<f64>,
     closed: bool,
+    /// Projection index: the bounds of segments `c * CHUNK ..` in `chunks[c]`.
+    chunks: Vec<Bounds>,
 }
 
 impl Track {
@@ -181,12 +183,22 @@ impl Track {
             curvatures.push(wrap_angle(b - a) / ds.max(1e-9));
         }
 
+        let segments = if closed { n } else { n - 1 };
+        let chunks = (0..segments)
+            .step_by(CHUNK)
+            .map(|start| {
+                let end = (start + CHUNK).min(segments);
+                Bounds::around((start..=end).map(|i| points[i % n]))
+            })
+            .collect();
+
         Track {
             points,
             stations,
             headings,
             curvatures,
             closed,
+            chunks,
         }
     }
 
@@ -246,11 +258,19 @@ impl Track {
         &self.points
     }
 
+    /// `s` wrapped (closed) or clamped (open) onto the track. A station
+    /// with no place on it (NaN, or infinite on a closed track) maps to the
+    /// start.
     fn wrap_station(&self, s: f64) -> f64 {
-        if self.closed {
+        let s = if self.closed {
             s.rem_euclid(self.length())
         } else {
             s.clamp(0.0, self.length())
+        };
+        if s.is_nan() {
+            0.0
+        } else {
+            s
         }
     }
 
@@ -314,48 +334,163 @@ impl Track {
 
     /// Projects `point` onto the track: nearest station, signed cross-track
     /// offset and local tangent heading.
+    ///
+    /// The nearest segment is the first-indexed one at the least squared
+    /// distance, exactly as a scan over every segment would find it;
+    /// bounding boxes over runs of segments only prune segments that
+    /// cannot win. A point no segment is at a finite distance from (NaN or
+    /// infinite coordinates) projects to the start of the track with zero
+    /// offset.
     pub fn project(&self, point: impl Into<Vec2>) -> Projection {
         let point = point.into();
-        let n = self.points.len();
-        let seg_count = if self.closed { n } else { n - 1 };
-
-        let mut best_d2 = f64::INFINITY;
-        let mut best = Projection {
-            station: 0.0,
-            cross_track: 0.0,
-            heading: self.headings[0],
-            point: self.points[0],
-        };
-        for i in 0..seg_count {
-            let a = self.points[i];
-            let b = self.points[(i + 1) % n];
-            let ab = b - a;
-            let len_sq = ab.norm_sq();
-            let t = if len_sq > 0.0 {
-                ((point - a).dot(ab) / len_sq).clamp(0.0, 1.0)
-            } else {
-                0.0
+        let Some(i) = self.nearest_segment(point) else {
+            return Projection {
+                station: 0.0,
+                cross_track: 0.0,
+                heading: self.headings[0],
+                point: self.points[0],
             };
-            let proj = a.lerp(b, t);
-            let d2 = point.distance(proj).powi(2);
-            if d2 < best_d2 {
-                best_d2 = d2;
-                let seg_len = len_sq.sqrt();
-                let station = self.stations[i] + t * seg_len;
-                let tangent = if seg_len > 0.0 {
-                    ab * (1.0 / seg_len)
-                } else {
-                    Vec2::from_angle(self.headings[i])
-                };
-                best = Projection {
-                    station,
-                    cross_track: tangent.cross(point - proj),
-                    heading: tangent.angle(),
-                    point: proj,
-                };
+        };
+        let foot = self.foot(i, point);
+        let seg_len = foot.len_sq.sqrt();
+        let station = self.stations[i] + foot.t * seg_len;
+        let tangent = if seg_len > 0.0 {
+            foot.ab * (1.0 / seg_len)
+        } else {
+            Vec2::from_angle(self.headings[i])
+        };
+        Projection {
+            station,
+            cross_track: tangent.cross(point - foot.point),
+            heading: tangent.angle(),
+            point: foot.point,
+        }
+    }
+
+    /// Index of the segment minimising `(d2, index)` over every segment with
+    /// a finite squared distance `d2`, or `None` when there is none.
+    ///
+    /// The chunk whose box is nearest seeds the best distance; every other
+    /// chunk is visited unless its box is farther than that by
+    /// [`PRUNE_MARGIN`]. Boxes are padded well beyond the rounding of a
+    /// foot point (`a + (b - a) * t`), so a skipped chunk's segments all
+    /// compute a strictly larger `d2` than the best one: skipping never
+    /// changes the minimum or its tie-break.
+    fn nearest_segment(&self, point: Vec2) -> Option<usize> {
+        let chunks = self.chunks.len();
+        let seed = (0..chunks)
+            .map(|c| (c, self.chunks[c].dist_sq(point)))
+            .fold(
+                (0, f64::INFINITY),
+                |best, cur| if cur.1 < best.1 { cur } else { best },
+            )
+            .0;
+        let segments = self.segment_count();
+        let (mut best_d2, mut best_i) = (f64::INFINITY, usize::MAX);
+        for c in std::iter::once(seed).chain((0..chunks).filter(|&c| c != seed)) {
+            if self.chunks[c].dist_sq(point) > best_d2 * (1.0 + PRUNE_MARGIN) {
+                continue;
+            }
+            for i in c * CHUNK..((c + 1) * CHUNK).min(segments) {
+                let d2 = self.foot(i, point).d2;
+                // `d2 < INFINITY` also rejects NaN, as the plain scan's
+                // `d2 < best_d2` did while `best_d2` was still infinite.
+                if d2 < f64::INFINITY && (d2 < best_d2 || (d2 == best_d2 && i < best_i)) {
+                    best_d2 = d2;
+                    best_i = i;
+                }
             }
         }
-        best
+        (best_i != usize::MAX).then_some(best_i)
+    }
+
+    /// Number of segments: closed tracks add the closing one.
+    fn segment_count(&self) -> usize {
+        if self.closed {
+            self.points.len()
+        } else {
+            self.points.len() - 1
+        }
+    }
+
+    /// The closest point on segment `i` to `point`. These expressions are
+    /// the projection's definition: the search and the final
+    /// [`Projection`] both take their numbers from here.
+    fn foot(&self, i: usize, point: Vec2) -> Foot {
+        let a = self.points[i];
+        let b = self.points[(i + 1) % self.points.len()];
+        let ab = b - a;
+        let len_sq = ab.norm_sq();
+        let t = if len_sq > 0.0 {
+            ((point - a).dot(ab) / len_sq).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let on_segment = a.lerp(b, t);
+        Foot {
+            ab,
+            len_sq,
+            t,
+            point: on_segment,
+            d2: point.distance(on_segment).powi(2),
+        }
+    }
+}
+
+/// Segments per bounding box of the projection index.
+const CHUNK: usize = 16;
+
+/// Relative slack on the best squared distance before a chunk is pruned;
+/// many orders of magnitude above the few ulps of rounding in a box or
+/// segment distance.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Closest point on one segment, with the intermediate values the
+/// projection reuses.
+struct Foot {
+    ab: Vec2,
+    len_sq: f64,
+    t: f64,
+    point: Vec2,
+    d2: f64,
+}
+
+/// Axis-aligned box around a run of consecutive segments, padded so that
+/// any rounded foot point on them lies well inside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Bounds {
+    min: Vec2,
+    max: Vec2,
+}
+
+impl Bounds {
+    fn around(points: impl Iterator<Item = Vec2>) -> Self {
+        let inf = Vec2::new(f64::INFINITY, f64::INFINITY);
+        let (min, max) = points.fold((inf, -inf), |(lo, hi), p| {
+            (
+                Vec2::new(lo.x.min(p.x), lo.y.min(p.y)),
+                Vec2::new(hi.x.max(p.x), hi.y.max(p.y)),
+            )
+        });
+        let magnitude = min
+            .x
+            .abs()
+            .max(min.y.abs())
+            .max(max.x.abs())
+            .max(max.y.abs());
+        let pad = 1e-9 * (1.0 + magnitude);
+        Bounds {
+            min: min - Vec2::new(pad, pad),
+            max: max + Vec2::new(pad, pad),
+        }
+    }
+
+    /// Squared distance from `p` to the box (0 inside). NaN coordinates
+    /// give 0, so such a point prunes nothing.
+    fn dist_sq(&self, p: Vec2) -> f64 {
+        let dx = (self.min.x - p.x).max(p.x - self.max.x).max(0.0);
+        let dy = (self.min.y - p.y).max(p.y - self.max.y).max(0.0);
+        dx * dx + dy * dy
     }
 }
 
@@ -448,6 +583,80 @@ mod tests {
         assert!(p.cross_track < -4.0, "{}", p.cross_track);
         let p = t.project([15.0, 0.0]);
         assert!(p.cross_track > 4.0, "{}", p.cross_track);
+    }
+
+    #[test]
+    fn non_finite_stations_sample_the_track_start() {
+        let line = Track::line([0.0, 0.0], [10.0, 0.0], 1.0).unwrap();
+        let circle = Track::circle([0.0, 0.0], 10.0, 0.5).unwrap();
+        for t in [&line, &circle] {
+            let bad = if t.is_closed() {
+                vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            } else {
+                vec![f64::NAN]
+            };
+            for s in bad {
+                assert_eq!(t.point_at(s), t.point_at(0.0), "point_at({s})");
+                assert_eq!(t.heading_at(s), t.heading_at(0.0), "heading_at({s})");
+                assert_eq!(t.curvature_at(s), t.curvature_at(0.0), "curvature_at({s})");
+            }
+        }
+        // Open tracks still clamp infinite stations to their ends.
+        assert_eq!(line.point_at(f64::INFINITY), line.point_at(line.length()));
+        assert_eq!(line.point_at(f64::NEG_INFINITY), line.point_at(0.0));
+    }
+
+    #[test]
+    fn projection_ties_keep_the_first_segment() {
+        // Vertex 16 ends segment 15, the last of the first index chunk, and
+        // starts segment 16, the first of the next. A point straight above
+        // it is equally near both; it lies inside the second chunk's box
+        // (the path turns north at x = 20), so that chunk is searched
+        // first, and the lower index must still win.
+        let t = Track::from_waypoints([[0.0, 0.0], [20.0, 0.0], [20.0, 40.0]], 1.0, false).unwrap();
+        let point = Vec2::new(16.0, 3.0);
+        assert_eq!(t.points()[16], Vec2::new(16.0, 0.0));
+        assert!(t.chunks[1].dist_sq(point) < t.chunks[0].dist_sq(point));
+        assert_eq!(t.nearest_segment(point), Some(15));
+        let p = t.project(point);
+        assert_eq!(p.point, t.points()[16]);
+        assert_eq!(p.cross_track, 3.0);
+    }
+
+    #[test]
+    fn rounded_foot_points_beyond_their_segment_are_still_found() {
+        // Segment 15 runs east from x = -3.9 to 1.8, ending its index
+        // chunk. Its foot point at t = 1 rounds to x = 1.8000000000000003,
+        // past its own end vertex and past every point of its chunk. A
+        // vertex of a later chunk sits exactly there, so both are at
+        // d2 = 0 and segment 15 must win. Only the box padding keeps its
+        // chunk from being pruned against that zero.
+        let mut points: Vec<Vec2> = (0..16)
+            .map(|i| Vec2::new(-3.9 - f64::from(15 - i), 0.0))
+            .collect();
+        points.extend((0..=16).map(|k| Vec2::new(1.8, f64::from(k))));
+        let foot = points[15].lerp(points[16], 1.0);
+        assert!(foot.x > 1.8, "premise: the foot point rounds outward");
+        points.extend([foot, Vec2::new(foot.x, -10.0)]);
+        let t = Track::from_resampled(points, false);
+        assert_eq!(t.nearest_segment(foot), Some(15));
+        assert_eq!(t.project(foot).point, foot);
+    }
+
+    #[test]
+    fn non_finite_points_project_to_the_track_start() {
+        let t = Track::circle([0.0, 0.0], 20.0, 1.0).unwrap();
+        for p in [
+            [f64::NAN, 0.0],
+            [f64::INFINITY, 1.0],
+            [0.0, f64::NEG_INFINITY],
+        ] {
+            let proj = t.project(p);
+            assert_eq!(proj.station, 0.0);
+            assert_eq!(proj.cross_track, 0.0);
+            assert_eq!(proj.heading, t.headings[0]);
+            assert_eq!(proj.point, t.points[0]);
+        }
     }
 
     #[test]

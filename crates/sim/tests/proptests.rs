@@ -1,5 +1,7 @@
 //! Property-based tests of the simulator substrate's invariants.
 
+mod linear_scan;
+
 use adassure_sim::actuator::{Actuator, ActuatorParams};
 use adassure_sim::geometry::{angle_diff, wrap_angle, Vec2};
 use adassure_sim::track::Track;
@@ -7,7 +9,42 @@ use adassure_sim::vehicle::{Controls, VehicleModel, VehicleState};
 use proptest::prelude::*;
 use std::f64::consts::PI;
 
+/// Random open or closed polylines, resampled at a random spacing; a plain
+/// line where the waypoints do not make a valid track.
+fn arbitrary_track() -> impl Strategy<Value = Track> {
+    (
+        proptest::collection::vec((-80.0f64..80.0, -80.0f64..80.0), 2..8),
+        0.5f64..3.0,
+        any::<bool>(),
+    )
+        .prop_map(|(waypoints, spacing, closed)| {
+            Track::from_waypoints(waypoints, spacing, closed)
+                .or_else(|_| Track::line([0.0, 0.0], [50.0, 0.0], spacing))
+                .expect("fallback line is a valid track")
+        })
+}
+
 proptest! {
+    #[test]
+    fn projection_matches_linear_scan_bit_for_bit(
+        track in arbitrary_track(),
+        scattered in proptest::collection::vec((-700.0f64..700.0, -700.0f64..700.0), 64),
+    ) {
+        let probes = linear_scan::probe_points(&track)
+            .into_iter()
+            .chain(scattered.into_iter().map(Vec2::from));
+        for p in probes {
+            prop_assert_eq!(
+                linear_scan::bits(&track.project(p)),
+                linear_scan::bits(&linear_scan::project(&track, p)),
+                "point {:?} on a {}-point {} track",
+                p,
+                track.points().len(),
+                if track.is_closed() { "closed" } else { "open" }
+            );
+        }
+    }
+
     #[test]
     fn wrap_angle_stays_in_half_open_interval(a in -1e4f64..1e4) {
         let w = wrap_angle(a);

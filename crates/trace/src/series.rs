@@ -99,6 +99,11 @@ impl Series {
         Ok(())
     }
 
+    /// Releases spare sample capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.samples.shrink_to_fit();
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -224,6 +229,15 @@ mod tests {
     fn ramp() -> Series {
         // 0.25 s steps are exactly representable, keeping expectations exact.
         Series::from_samples("r", (0..10).map(|i| (f64::from(i) * 0.25, f64::from(i)))).unwrap()
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_samples_and_drops_spare_capacity() {
+        let mut s = ramp();
+        let before = s.clone();
+        s.shrink_to_fit();
+        assert_eq!(s, before);
+        assert_eq!(s.samples.capacity(), s.len());
     }
 
     #[test]

@@ -161,6 +161,11 @@ impl Trace {
     pub fn sample_count(&self) -> usize {
         self.series.values().map(Series::len).sum()
     }
+
+    /// Releases the spare capacity every series grew while recording.
+    pub fn shrink_to_fit(&mut self) {
+        self.series.values_mut().for_each(Series::shrink_to_fit);
+    }
 }
 
 impl FromIterator<Series> for Trace {
